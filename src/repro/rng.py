@@ -276,7 +276,11 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """One uniform draw in ``[low, high)``."""
-        return float(self.generator.uniform(low, high))
+        # Hot in the closed-loop models: skip the property once built.
+        generator = self._generator
+        if generator is None:
+            generator = self.generator
+        return float(generator.uniform(low, high))
 
     def integers(self, low: int, high: int) -> int:
         """One integer draw in ``[low, high)``."""
@@ -317,7 +321,10 @@ class RngStream:
         if sigma <= 0.0:
             return 1.0
         mu = -0.5 * sigma * sigma  # mean of exp(N(mu, sigma)) == 1
-        return float(self.generator.lognormal(mu, sigma))
+        generator = self._generator
+        if generator is None:
+            generator = self.generator
+        return float(generator.lognormal(mu, sigma))
 
     def pareto_tail(self, probability: float, scale: float, alpha: float = 2.5) -> float:
         """Occasionally return a heavy-tail additive delay, else 0.

@@ -16,6 +16,8 @@ events run in scheduling order.
 
 from __future__ import annotations
 
+import heapq
+from functools import partial
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
@@ -30,8 +32,8 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay!r}")
+        if not delay >= 0:  # also false for NaN
+            raise SimulationError(f"negative or NaN timeout: {delay!r}")
         self.delay = float(delay)
         self.value = value
 
@@ -100,9 +102,12 @@ class Process:
 
     def _dispatch(self, command: Any) -> None:
         simulator = self.simulator
-        if isinstance(command, Timeout):
+        # The exact-type test first: Timeouts are the bulk of all events.
+        if type(command) is Timeout or isinstance(command, Timeout):
+            value = command.value
             simulator._queue.push(
-                simulator.now + command.delay, lambda: self._resume(command.value)
+                simulator.now + command.delay,
+                self._resume if value is None else partial(self._resume, value),
             )
         elif isinstance(command, Wait):
             self._wait_on(command.event)
@@ -122,11 +127,10 @@ class Process:
             # Resume on the simulator agenda (same timestamp) rather than
             # synchronously, to keep resumption order deterministic.
             if evt.ok:
-                self.simulator._queue.push(self.simulator.now, lambda: self._resume(evt.value))
+                resume = partial(self._resume, evt.value)
             else:
-                self.simulator._queue.push(
-                    self.simulator.now, lambda: self._resume(error=evt.value)
-                )
+                resume = partial(self._resume, error=evt.value)
+            self.simulator._queue.push(self.simulator.now, resume)
 
         if event.triggered:
             _on_trigger(event)
@@ -156,7 +160,7 @@ class Simulator:
         """Register a generator as a process and start it at the current time."""
         self._spawn_count += 1
         process = Process(self, generator, name or f"proc-{self._spawn_count}")
-        self._queue.push(self.now, lambda: process._resume())
+        self._queue.push(self.now, process._resume)
         return process
 
     def event(self, name: str = "") -> Event:
@@ -165,8 +169,8 @@ class Simulator:
 
     def schedule(self, delay: float, callback) -> None:
         """Run a bare callback after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # also false for NaN
+            raise SimulationError(f"negative or NaN delay: {delay!r}")
         self._queue.push(self.now + delay, callback)
 
     # --- execution ------------------------------------------------------------
@@ -175,24 +179,30 @@ class Simulator:
         """Run until the agenda drains (or virtual time ``until``).
 
         Returns the final virtual time. ``max_events`` is a safety valve
-        against accidental infinite event loops in model code.
+        against accidental infinite event loops in model code. ``until``
+        may not lie before the current time: the clock never rewinds.
         """
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"cannot run until {until!r}: the clock is already at {self.now!r}"
+            )
+        heap = self._queue._heap
+        heappop = heapq.heappop
+        now = self.now
         processed = 0
-        while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+        while heap:
+            time, _, entry = heap[0]
+            if entry.cancelled:
+                heappop(heap)
+                continue
+            if until is not None and time > until:
                 self.now = until
                 break
-            entry = self._queue.pop()
-            if entry is None:
-                break
-            if entry.time < self.now - 1e-15:
-                raise SimulationError(
-                    f"time went backwards: {entry.time} < {self.now}"
-                )
-            self.now = max(self.now, entry.time)
+            heappop(heap)
+            if time < now - 1e-15:
+                raise SimulationError(f"time went backwards: {time} < {now}")
+            if time > now:
+                self.now = now = time
             entry.callback()
             processed += 1
             if processed > max_events:

@@ -78,48 +78,51 @@ class Event:
 
 
 class ScheduledEntry:
-    """A (time, sequence, callback) agenda entry. Comparable for heapq."""
+    """A scheduled callback; set ``cancelled`` to drop it from the agenda."""
 
-    __slots__ = ("time", "sequence", "callback", "cancelled")
+    __slots__ = ("time", "callback", "cancelled")
 
-    def __init__(self, time: float, sequence: int, callback: Callable[[], None]) -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
-        self.sequence = sequence
         self.callback = callback
         self.cancelled = False
 
-    def __lt__(self, other: "ScheduledEntry") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
 
 class EventQueue:
-    """Time-ordered agenda with deterministic FIFO tie-breaking."""
+    """Time-ordered agenda with deterministic FIFO tie-breaking.
+
+    The heap holds ``(time, sequence, entry)`` tuples, so ordering is a
+    C-level tuple comparison; ``sequence`` is unique, so a comparison never
+    reaches ``entry``. :meth:`repro.simcore.engine.Simulator.run` walks the
+    heap directly instead of calling :meth:`pop`.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEntry] = []
+        self._heap: list[tuple[float, int, ScheduledEntry]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for _, _, entry in self._heap if not entry.cancelled)
 
     def push(self, time: float, callback: Callable[[], None]) -> ScheduledEntry:
         """Schedule ``callback`` to run at absolute virtual ``time``."""
         if time != time:  # NaN guard
             raise SimulationError("cannot schedule an event at NaN time")
-        entry = ScheduledEntry(time, next(self._counter), callback)
-        heapq.heappush(self._heap, entry)
+        entry = ScheduledEntry(time, callback)
+        heapq.heappush(self._heap, (time, next(self._counter), entry))
         return entry
 
     def pop(self) -> Optional[ScheduledEntry]:
         """Pop the earliest non-cancelled entry, or None when empty."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
+            entry = heapq.heappop(self._heap)[2]
             if not entry.cancelled:
                 return entry
         return None
 
     def peek_time(self) -> Optional[float]:
         """The virtual time of the next pending entry, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

@@ -90,25 +90,33 @@ class MemcachedYcsbWorkload(Workload):
     def run(self, platform: Platform, rng: RngStream) -> MemcachedResult:
         simulator = Simulator()
         workers = Resource(simulator, self.server_threads, "memcached-workers")
-        round_trip = self._round_trip(platform)
+        # Everything per-run is hoisted out of the per-op loop. Each client
+        # interleaves uniform and lognormal draws on one stream, so the
+        # draws themselves stay scalar and in this exact order.
+        half_trip = self._round_trip(platform) / 2.0
+        read_service = self._service_time(platform, update=False)
+        update_service = self._service_time(platform, update=True)
+        is_update = self.spec.is_update
+        ops_per_client = self.ops_per_client
         latencies: list[float] = []
 
         def client(index: int):
             client_rng = rng.child(f"client-{index}")
-            for op in range(self.ops_per_client):
-                yield Timeout(_CLIENT_THINK_S * client_rng.lognormal_factor(0.2))
+            lognormal = client_rng.lognormal_factor
+            uniform = client_rng.uniform
+            for _ in range(ops_per_client):
+                yield Timeout(_CLIENT_THINK_S * lognormal(0.2))
                 started = simulator.now
                 # Request travels to the guest...
-                yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
+                yield Timeout(half_trip * lognormal(0.1))
                 yield from workers.acquire()
                 try:
-                    update = self.spec.is_update(client_rng.uniform())
-                    service = self._service_time(platform, update=update)
-                    yield Timeout(service * client_rng.lognormal_factor(0.15))
+                    service = update_service if is_update(uniform()) else read_service
+                    yield Timeout(service * lognormal(0.15))
                 finally:
                     workers.release()
                 # ...and the response travels back.
-                yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
+                yield Timeout(half_trip * lognormal(0.1))
                 latencies.append(simulator.now - started)
             return None
 

@@ -12,6 +12,34 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             Timeout(-1.0)
 
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SimulationError, match="NaN"):
+            Timeout(float("nan"))
+
+    def test_nan_delay_fails_the_yielding_process(self):
+        sim = Simulator()
+
+        def body():
+            yield Timeout(float("nan"))
+
+        process = sim.spawn(body(), name="nan-sleeper")
+        sim.run()
+        assert process.finished
+        with pytest.raises(SimulationError, match="NaN"):
+            _ = process.result
+
+    def test_timeout_subclass_takes_the_generic_path(self):
+        class Nap(Timeout):
+            __slots__ = ()
+
+        sim = Simulator()
+
+        def body():
+            got = yield Nap(2.0, value="nap")
+            return got, sim.now
+
+        assert sim.run_process(body()) == ("nap", 2.0)
+
     def test_simple_sleep_advances_clock(self):
         sim = Simulator()
 
@@ -36,12 +64,16 @@ class TestTimeout:
 
     def test_timeout_value_passed_back(self):
         sim = Simulator()
+        got = []
 
         def body():
-            got = yield Timeout(1.0, value="hello")
-            return got
+            got.append((yield Timeout(1.0, value="hello")))
+            got.append((yield Timeout(1.0, value=0)))
+            got.append((yield Timeout(1.0)))
+            got.append((yield Timeout(1.0, value=None)))
 
-        assert sim.run_process(body()) == "hello"
+        sim.run_process(body())
+        assert got == ["hello", 0, None, None]
 
 
 class TestWait:
@@ -228,6 +260,73 @@ class TestSimulatorRun:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_schedule_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.schedule(float("nan"), lambda: None)
+        assert len(sim._queue) == 0
+
+    def test_until_before_now_does_not_rewind_the_clock(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(10.0, lambda: seen.append(sim.now))
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        with pytest.raises(SimulationError, match="clock"):
+            sim.run(until=3.0)
+        assert sim.now == 5.0
+        sim.run(until=5.0)  # until == now is a no-op, not an error
+        assert sim.now == 5.0
+        sim.run()
+        assert seen == [10.0]
+
+    def test_fifo_tiebreak_with_cancelled_entries_mixed_in(self):
+        sim = Simulator()
+        order = []
+        entries = {
+            tag: sim._queue.push(1.0, lambda tag=tag: order.append(tag))
+            for tag in "abcdefg"
+        }
+        sim._queue.push(0.5, lambda: order.append("early"))
+        for tag in "bdf":
+            entries[tag].cancelled = True
+        sim.run()
+        assert order == ["early", "a", "c", "e", "g"]
+        assert sim.now == 1.0
+
+    def test_until_with_a_cancelled_entry_at_the_head(self):
+        sim = Simulator()
+        seen = []
+        head = sim._queue.push(1.0, lambda: seen.append("cancelled"))
+        head.cancelled = True
+        sim._queue.push(10.0, lambda: seen.append(sim.now))
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert seen == []
+        assert len(sim._queue) == 1
+        sim.run()
+        assert seen == [10.0]
+
+    def test_only_cancelled_entries_left_drains_without_advancing(self):
+        sim = Simulator()
+        late = sim._queue.push(8.0, lambda: None)
+        late.cancelled = True
+        # A drained agenda leaves the clock where the last event put it;
+        # only a live entry beyond ``until`` moves it to ``until``.
+        assert sim.run(until=5.0) == 0.0
+        assert len(sim._queue._heap) == 0
+
+    def test_max_events_is_an_inclusive_budget(self):
+        for budget, events, raises in [(3, 3, False), (3, 4, True)]:
+            sim = Simulator()
+            for index in range(events):
+                sim.schedule(float(index), lambda: None)
+            if raises:
+                with pytest.raises(SimulationError, match="exceeded 3 events"):
+                    sim.run(max_events=budget)
+            else:
+                assert sim.run(max_events=budget) == float(events - 1)
 
     def test_max_events_guard(self):
         sim = Simulator()
