@@ -45,7 +45,7 @@ from repro.core.store import canonical_overrides
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.platforms import get_platform
 from repro.platforms.base import Platform
-from repro.rng import materialize_streams
+from repro.rng import RngStream, materialize_streams
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -73,10 +73,17 @@ def cell_token(workload: Workload, platform_name: str, stream: Any) -> str | Non
     too because override variants (e.g. quick mode) share stream paths
     while measuring different things.
 
+    ``platform_name`` is the roster name (:attr:`GridCell.platform`), not
+    ``Platform.name``: roster entries such as ``docker`` and ``docker-oci``
+    share a platform name and stream paths but measure different things.
+
     Workloads whose parameters defy canonical encoding (an exotic
     un-JSONable attribute) return None — the cell simply opts out of
     fleet-wide dedupe, which is always safe: dedupe changes where a
     value comes from, never what it is.
+
+    Only a store-aware dispatch uses tokens, so :meth:`LoweredGrid.execute`
+    mints them there and nowhere else; lowering never does.
     """
     try:
         identity = canonical_overrides({
@@ -194,10 +201,21 @@ class LoweredGrid:
         order, and every cell's stream was pre-derived during lowering, so
         results are bit-identical across the serial/thread/process/remote
         backends.
+
+        Cells carry a :func:`cell_token` only when the mapper is
+        store-aware (it has a ``store_url``, as a remote fleet sharing a
+        store does): nothing else dedupes cells, so no other run pays
+        for their content addresses.
         """
         dispatch = mapper or active_grid_mapper() or _serial_map
-        raw = list(dispatch(run_rep_job, [cell.job for cell in self.cells])) \
-            if self.cells else []
+        jobs = [cell.job for cell in self.cells]
+        if getattr(dispatch, "store_url", None) is not None:
+            jobs = [
+                RepJob(job.workload, job.platform, job.stream,
+                       cell_token(job.workload, cell.platform, job.stream))
+                for cell, job in zip(self.cells, jobs)
+            ]
+        raw = list(dispatch(run_rep_job, jobs)) if jobs else []
         results: dict[tuple[str, str], list[Any]] = {}
         platforms: dict[tuple[str, str], Platform] = {}
         for cell, value in zip(self.cells, raw):
@@ -421,12 +439,15 @@ class FigurePlan:
         every cell stream is seeded in one vectorized
         :func:`~repro.rng.materialize_streams` pass (a pure speed-up:
         seeding depends only on each stream's derived seed, never on
-        batch order).
+        batch order). The children each workload declares in
+        ``stream_children`` are derived per cell and join that batch.
         """
         runner = Runner(seed, self.scope)
         cells: list[GridCell] = []
         exclusions: list[Exclusion] = []
+        seeding: list[RngStream] = []
         for spec in self.specs:
+            children = spec.workload.stream_children
             for name in spec.platforms:
                 platform = get_platform(name)
                 if spec.guard_support:
@@ -442,11 +463,12 @@ class FigurePlan:
                 for index, stream in enumerate(streams):
                     cells.append(
                         GridCell(spec.key, name, index,
-                                 RepJob(spec.workload, platform, stream,
-                                        token=cell_token(spec.workload, name,
-                                                         stream)))
+                                 RepJob(spec.workload, platform, stream))
                     )
-        materialize_streams([cell.job.stream for cell in cells])
+                    seeding.append(stream)
+                    if children:
+                        seeding.extend(stream.preseed_children(children))
+        materialize_streams(seeding)
         return LoweredGrid(self.figure_id, seed, self.specs, cells, exclusions)
 
     def assemble(self, outcome: GridOutcome) -> FigureResult:

@@ -78,8 +78,9 @@ class RepJob:
     ``token`` is the cell's content address for fleet-wide dedupe (see
     :func:`~repro.core.plan.cell_token`): equal tokens mean equal
     ``run()`` results by construction, so store-aware workers can
-    exchange finished cells. ``None`` opts the cell out of dedupe — it
-    changes *where* a cell's value comes from, never what it is.
+    exchange finished cells. Lowering leaves it ``None``; only a
+    store-aware dispatch mints it. ``None`` opts the cell out of dedupe
+    — it changes *where* a cell's value comes from, never what it is.
     """
 
     workload: Workload

@@ -304,10 +304,15 @@ class _CountingMapper:
     figure function knows it — wrapping the mapper observes it without
     widening any figure signatures. Plan-based figures dispatch their
     whole grid in one call; legacy per-batch callers accumulate.
+
+    ``store_url`` mirrors the wrapped mapper's: lowered grids mint cell
+    tokens only for a store-aware mapper, so hiding it would silently
+    switch fleet-wide dedupe off.
     """
 
     def __init__(self, inner: Mapper) -> None:
         self.inner = inner
+        self.store_url = getattr(inner, "store_url", None)
         self.dispatched = 0
 
     def __call__(self, fn: Any, items: Any) -> Any:

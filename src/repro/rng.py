@@ -27,7 +27,9 @@ single draw:
   of one Cython SeedSequence per stream) and hands each stream its
   precomputed PCG64 seed state. Bit-identity is enforced by
   construction-time tests comparing against ``SeedSequence`` itself and
-  by the figure golden values.
+  by the figure golden values. Children a consumer is known to derive
+  can join the batch too: :meth:`RngStream.preseed_children` derives them
+  ahead, and :meth:`RngStream.child` hands each back once.
 """
 
 from __future__ import annotations
@@ -215,13 +217,15 @@ class RngStream:
     resulting draw sequence is identical in every case.
     """
 
-    __slots__ = ("seed", "path", "_generator", "_state_words")
+    __slots__ = ("seed", "path", "_generator", "_state_words", "_preseeded")
 
     def __init__(self, seed: int, path: str = "root") -> None:
         self.seed = int(seed) & _MASK64
         self.path = path
         self._generator: np.random.Generator | None = None
         self._state_words: np.ndarray | None = None
+        #: Children derived ahead of use by :meth:`preseed_children`.
+        self._preseeded: tuple[RngStream, ...] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(path={self.path!r}, seed={self.seed:#x})"
@@ -230,6 +234,8 @@ class RngStream:
         # __slots__ classes have no __dict__; ship the slots explicitly.
         # A constructed generator travels with its exact draw position, so
         # a pickled mid-use stream resumes identically on the other side.
+        # Pre-seeded children stay behind: the receiver re-derives them on
+        # demand (same draws), and the wire carries no extra bytes.
         return {
             "seed": self.seed,
             "path": self.path,
@@ -242,13 +248,36 @@ class RngStream:
         self.path = state["path"]
         self._generator = state["_generator"]
         self._state_words = state["_state_words"]
+        self._preseeded = None
 
     # --- stream derivation -------------------------------------------------
 
     def child(self, name: str) -> "RngStream":
-        """Return an independent child stream identified by ``name``."""
+        """Return an independent child stream identified by ``name``.
+
+        Every call returns a stream at its first draw. A child derived
+        ahead by :meth:`preseed_children` is handed back by the first call
+        for its name; later calls derive it afresh.
+        """
         child_path = f"{self.path}/{name}"
+        preseeded = self._preseeded
+        if preseeded is not None:
+            for index, stream in enumerate(preseeded):
+                if stream.path == child_path:
+                    self._preseeded = preseeded[:index] + preseeded[index + 1:] or None
+                    return stream
         return RngStream(derive_seed(self.seed, child_path), child_path)
+
+    def preseed_children(self, names: Sequence[str]) -> list["RngStream"]:
+        """Derive the children ``names`` now, for :meth:`child` to hand back.
+
+        Returns them so the caller can seed them in one
+        :func:`materialize_streams` batch with other streams; a child
+        built here draws exactly what ``child(name)`` would.
+        """
+        streams = self.children(names)
+        self._preseeded = tuple(streams) if streams else None
+        return streams
 
     def children(self, names: Iterable[str]) -> list["RngStream"]:
         """Derive one child stream per name, in order (batched hashing)."""

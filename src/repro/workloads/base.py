@@ -37,6 +37,11 @@ class Workload(abc.ABC):
     #: Registry key and figure label.
     name: str = "workload"
 
+    #: The fixed names every :meth:`run` passes to ``rng.child``. Plan
+    #: lowering derives these children per cell and seeds them in the
+    #: same batch as the cell streams; the draws are the same either way.
+    stream_children: tuple[str, ...] = ()
+
     def check_supported(self, platform: Platform) -> None:
         """Raise :class:`UnsupportedOperationError` when the platform
         cannot run this workload (overridden where the paper excludes

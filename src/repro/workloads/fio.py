@@ -77,6 +77,7 @@ class FioThroughputWorkload(Workload):
     """Sequential 128 KiB read/write throughput (Figure 9)."""
 
     name = "fio-throughput"
+    stream_children = ("read", "write")
 
     def __init__(
         self,
@@ -130,6 +131,7 @@ class FioLatencyWorkload(Workload):
     """4 KiB randread latency (Figure 10)."""
 
     name = "fio-randread-latency"
+    stream_children = ("device", "path")
 
     def __init__(self, block_bytes: int = 4 * KIB, samples: int = 400) -> None:
         if block_bytes <= 0:

@@ -130,6 +130,7 @@ class TinymembenchThroughputWorkload(Workload):
     """Single-threaded sequential copy bandwidth (regular + SSE2)."""
 
     name = "tinymembench-throughput"
+    stream_children = ("sse2",)
 
     def run(self, platform: Platform, rng: RngStream) -> ThroughputResult:
         profile = platform.memory_profile()

@@ -1,11 +1,20 @@
 """Tests for the foundation modules: units, rng, errors."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import errors
-from repro.rng import RngStream, derive_seed
+from repro.rng import (
+    MATERIALIZE_THRESHOLD,
+    RngStream,
+    _bulk_state_words,
+    derive_seed,
+    materialize_streams,
+)
 from repro.units import (
     GIB,
     KIB,
@@ -129,6 +138,50 @@ class TestRngStream:
 
     def test_exponential_positive(self):
         assert RngStream(19).exponential(2.0) > 0
+
+
+def _draws(stream: RngStream, count: int = 5) -> list[float]:
+    return [stream.uniform() for _ in range(count)]
+
+
+def _preseeded_parents(names=("a", "b")) -> list[RngStream]:
+    """Enough parents that one batch really seeds their children."""
+    parents = RngStream(42).children(f"rep-{i}" for i in range(MATERIALIZE_THRESHOLD))
+    materialize_streams(
+        [child for parent in parents for child in parent.preseed_children(names)]
+    )
+    return parents
+
+
+class TestPreseededChildren:
+    def test_bulk_state_words_match_seed_sequence(self):
+        seeds = [0, 1, 0xFFFFFFFF, 1 << 32, (1 << 64) - 1, derive_seed(7, "x")]
+        words = _bulk_state_words(seeds)
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist()
+
+    def test_preseeded_child_draws_like_a_derived_one(self):
+        for parent in _preseeded_parents():
+            fresh = RngStream(parent.seed, parent.path)
+            assert parent.child("b")._state_words is not None
+            assert _draws(parent.child("a")) == _draws(fresh.child("a"))
+
+    def test_child_twice_gives_identical_fresh_draws(self):
+        parent = _preseeded_parents()[0]
+        first = parent.child("a")
+        first_draws = _draws(first)
+        second = parent.child("a")
+        assert second is not first
+        assert _draws(second) == first_draws
+
+    def test_pickled_preseeded_stream_gives_same_draws(self):
+        parent = _preseeded_parents()[0]
+        # Pre-seeded children stay behind: the wire bytes do not grow.
+        assert pickle.dumps(parent) == pickle.dumps(RngStream(parent.seed, parent.path))
+        copy = pickle.loads(pickle.dumps(parent))
+        assert _draws(copy.child("a")) == _draws(parent.child("a"))
+        assert _draws(copy) == _draws(parent)
 
 
 class TestErrors:
